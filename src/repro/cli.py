@@ -103,6 +103,17 @@ def _make_policy(args: argparse.Namespace):
         raise SystemExit(str(exc)) from None
 
 
+def _check_jobs(args: argparse.Namespace) -> None:
+    """Refuse a bad ``--jobs`` (or $REPRO_JOBS) with one line, not a
+    traceback, before the command starts any work."""
+    from repro.engine import resolve_jobs
+
+    try:
+        resolve_jobs(args.jobs)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
+
+
 def _report_failures(failures) -> None:
     """Print the end-of-run failure table to stderr."""
     from repro.resilience import format_failure_summary
@@ -1281,6 +1292,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: "list[str] | None" = None) -> int:
     args = build_parser().parse_args(argv)
+    if hasattr(args, "jobs"):
+        _check_jobs(args)
     return args.func(args)
 
 

@@ -6,8 +6,9 @@ funnels through.  Given an ordered list of
 
 1. looks each cell up in the disk cache (unless caching is off or the
    run is observed),
-2. fans the misses out across a :class:`ProcessPoolExecutor` when
-   ``jobs > 1`` (or simulates them inline when serial),
+2. fans the misses out across ``min(jobs, misses)`` warm worker slots
+   (:mod:`repro.engine.warm`) when ``jobs > 1``, or simulates them
+   inline when serial,
 3. merges everything back **in spec order**, so the caller sees the
    same deterministic ordering regardless of worker scheduling, and
 4. writes fresh results back to the cache.
@@ -27,13 +28,14 @@ Observability contract: when a bus is attached, caching is bypassed
 entirely (events only stream while simulating, so a cache hit would
 produce a silent hole in the trace).  Serial observed runs stream onto
 the parent bus live, exactly as before the engine existed.  Parallel
-observed runs give each worker a private bus with a
-:class:`~repro.obs.sinks.RecordingSink`; the parent then replays each
-cell's events in spec order, shifting simulated timestamps onto its own
-clock, so ``bus.now_ns`` still ends at the sum of every cell's
-``stats.total_time_ns`` -- the invariant the Perfetto export and the
-metrics registry rely on.  Retries and failures additionally surface as
-``engine``-category instant events on the parent bus.
+observed runs record each cell on a private bus with a
+:class:`~repro.obs.sinks.RecordingSink` inside its worker; the parent
+then replays each cell's events in spec order, shifting simulated
+timestamps onto its own clock, so ``bus.now_ns`` still ends at the sum
+of every cell's ``stats.total_time_ns`` -- the invariant the Perfetto
+export and the metrics registry rely on.  Retries and failures
+additionally surface as ``engine``-category instant events on the
+parent bus.
 """
 
 from __future__ import annotations
@@ -45,9 +47,9 @@ import os
 import time
 import typing
 
-from repro.core.errors import PimTimeoutError, PimWorkerCrashError
 from repro.engine.cache import DiskCache, cell_cache_key
 from repro.engine.cells import CellOutcome, CellSpec, run_cell
+from repro.engine.warm import WarmExecutor, WarmSlot
 from repro.resilience.failures import (
     failure_from_exception,
     skipped_failure,
@@ -136,15 +138,6 @@ class ExecutionResult:
             f"{self.hits} cached, {self.misses} simulated "
             f"with {self.jobs} job(s){extra}{where}"
         )
-
-
-def _worker(
-    spec: CellSpec, record_events: bool, attempt: int, isolated: bool
-) -> CellOutcome:
-    """Top-level so it pickles under every multiprocessing start method."""
-    return run_cell(
-        spec, record_events=record_events, attempt=attempt, isolated=isolated
-    )
 
 
 def _retry_key(spec: CellSpec) -> str:
@@ -247,21 +240,6 @@ def _run_serial(
     return outcomes
 
 
-def _kill_pool(pool: concurrent.futures.ProcessPoolExecutor) -> None:
-    """Tear down a pool that holds a hung or dead worker.
-
-    ``shutdown`` alone would wait on the hung process forever, so the
-    worker processes are killed first; the shutdown that follows then
-    only reaps the manager thread (and keeps interpreter exit quiet).
-    """
-    for proc in list(getattr(pool, "_processes", {}).values()):
-        try:
-            proc.kill()
-        except Exception:  # noqa: BLE001 - already-dead processes are fine
-            pass
-    pool.shutdown(wait=True, cancel_futures=True)
-
-
 def _run_isolated(
     misses: "list[CellSpec]",
     jobs: int,
@@ -269,23 +247,22 @@ def _run_isolated(
     record: bool,
     reporter: _Reporter,
 ) -> "dict[CellSpec, CellOutcome]":
-    """Supervised execution: every attempt gets its own worker process.
+    """Supervised execution on ``min(jobs, len(misses))`` warm slots.
 
-    Each running cell owns a dedicated single-worker pool (at most
-    ``jobs`` alive at once), so a crash breaks exactly one cell's pool
-    -- attribution is precise, nothing collateral -- and a timeout kills
-    exactly one cell's process.  A shared pool cannot offer either: one
-    dead worker poisons every outstanding future indistinguishably.  The
-    per-attempt process spawn this costs is noise next to a simulation
-    cell's runtime.  Retries re-queue the cell behind a monotonic
-    backoff gate; the per-cell timeout is wall-clock from launch.
+    Each slot is a single-worker process that runs one cell attempt at
+    a time, so a crash or a timeout is attributable to exactly one cell
+    and costs exactly one respawn (:meth:`WarmSlot.recover`); a cell
+    that raises leaves its worker alive for the next cell.  Retries
+    re-queue the cell behind a monotonic backoff gate; the per-cell
+    timeout is wall-clock from launch.
     """
     outcomes: "dict[CellSpec, CellOutcome]" = {}
     attempts: "dict[CellSpec, int]" = dict.fromkeys(misses, 0)
     queue = list(misses)
     not_before: "dict[CellSpec, float]" = {}
-    running: "dict[concurrent.futures.Future, tuple[CellSpec, concurrent.futures.ProcessPoolExecutor, float | None]]" = {}
+    running: "dict[concurrent.futures.Future, tuple[CellSpec, WarmSlot, float | None]]" = {}
     fail_fast_hit = False
+    executor = WarmExecutor(min(jobs, len(misses)))
 
     def settle(spec: CellSpec, exc: BaseException) -> None:
         """One attempt failed: retry, or record the ultimate failure."""
@@ -304,14 +281,14 @@ def _run_isolated(
 
     def launch(spec: CellSpec) -> None:
         attempts[spec] += 1
-        pool = concurrent.futures.ProcessPoolExecutor(max_workers=1)
-        future = pool.submit(_worker, spec, record, attempts[spec], True)
+        slot = executor.acquire()
+        future = slot.submit(spec, attempts[spec], record)
         deadline = (
             time.monotonic() + policy.cell_timeout_s
             if policy.cell_timeout_s is not None
             else None
         )
-        running[future] = (spec, pool, deadline)
+        running[future] = (spec, slot, deadline)
 
     try:
         while queue or running:
@@ -320,7 +297,7 @@ def _run_isolated(
                 for spec in queue:
                     outcomes[spec] = CellOutcome.failure(skipped_failure())
                 queue = []
-            while queue and len(running) < jobs:
+            while queue and len(running) < executor.workers:
                 index = next(
                     (i for i, s in enumerate(queue)
                      if not_before.get(s, 0.0) <= now),
@@ -348,40 +325,27 @@ def _run_isolated(
                 return_when=concurrent.futures.FIRST_COMPLETED,
             )
             for future in done:
-                spec, pool, _ = running.pop(future)
+                spec, slot, _ = running.pop(future)
                 try:
                     outcomes[spec] = future.result()
                 except concurrent.futures.process.BrokenProcessPool:
-                    settle(spec, PimWorkerCrashError(
-                        "worker process died without raising",
-                        benchmark=spec.benchmark_key,
-                        device=spec.device_type.value,
-                        attempt=attempts[spec],
-                    ))
+                    settle(spec, slot.recover(spec, attempts[spec]))
                 except Exception as exc:  # noqa: BLE001 - degraded to CellFailure
                     settle(spec, exc)
-                pool.shutdown(wait=False)
+                executor.release(slot)
             now = time.monotonic()
-            for future, (spec, pool, deadline) in list(running.items()):
+            for future, (spec, slot, deadline) in list(running.items()):
                 if deadline is None or now < deadline or future.done():
                     continue  # done-but-unharvested cells settle next pass
                 del running[future]
-                _kill_pool(pool)
-                settle(spec, PimTimeoutError(
-                    f"cell exceeded its {policy.cell_timeout_s}s timeout",
-                    timeout_s=policy.cell_timeout_s,
-                    benchmark=spec.benchmark_key,
-                    device=spec.device_type.value,
-                    attempt=attempts[spec],
+                settle(spec, slot.recover(
+                    spec, attempts[spec], policy.cell_timeout_s
                 ))
+                executor.release(slot)
     finally:
-        # A KeyboardInterrupt (or any other non-local exit) between
-        # supervisor-pool spawns must not leak live worker processes:
-        # kill every pool still checked out.  On a normal exit
-        # ``running`` is already empty and this is a no-op.
-        for _, pool, _ in running.values():
-            _kill_pool(pool)
-        running.clear()
+        # Normal exit or not (a KeyboardInterrupt mid-run included),
+        # every worker dies and is reaped here: nothing outlives the run.
+        executor.shutdown()
     return outcomes
 
 

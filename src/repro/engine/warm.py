@@ -1,20 +1,19 @@
-"""Reusable warm executor: worker processes that outlive one cell.
+"""Warm worker slots: the engine's only worker processes.
 
-:func:`~repro.engine.engine.run_cells` pays a process spawn per cell
-attempt -- the right trade for a batch run, where spawn cost is noise
-next to simulation time and per-attempt pools give surgical crash
-attribution.  A long-running service cannot afford that: every request
-would re-import numpy and re-build the registry.  :class:`WarmExecutor`
-keeps a fixed set of single-worker pools alive across cells, so the
-interpreter, the arch registry, and the cost-memo tables stay hot in
-each worker, while preserving the engine's isolation story:
+Every cell that runs outside the calling process runs here.
+:func:`~repro.engine.engine.run_cells` opens a :class:`WarmExecutor` of
+``min(jobs, misses)`` slots per call, and ``repro serve`` keeps one
+alive for the service's lifetime.  A slot's worker outlives one cell, so
+the interpreter, the arch registry, and the cost tables stay hot, while
+isolation holds:
 
 * each slot is a **single-worker** pool, so a crash or a hang breaks
   exactly one slot and is attributable to exactly one cell;
-* a hung or crashed slot is **killed and respawned** (the watchdog's
-  move), costing one spawn instead of poisoning the executor;
-* the worker entry point is the engine's own ``_worker``, so a cell run
-  through a warm slot is byte-identical to one run by ``run_cells``.
+* a hung or crashed slot is **killed and respawned**
+  (:meth:`WarmSlot.recover`), costing one spawn instead of poisoning the
+  executor;
+* a cell that *raises* leaves its worker alive for the next cell, just
+  as the serial path retries in the same process.
 
 The class is synchronous and thread-safe-by-construction (each slot is
 owned by one caller at a time; acquisition goes through a lock-free
@@ -27,10 +26,36 @@ import concurrent.futures
 import queue
 import typing
 
-from repro.engine.engine import _kill_pool, _worker
+from repro.core.errors import PimTimeoutError, PimWorkerCrashError
+from repro.engine.cells import run_cell
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.errors import PimError
     from repro.engine.cells import CellOutcome, CellSpec
+
+
+def _worker(
+    spec: "CellSpec", record_events: bool, attempt: int, isolated: bool
+) -> "CellOutcome":
+    """Top-level so it pickles under every multiprocessing start method."""
+    return run_cell(
+        spec, record_events=record_events, attempt=attempt, isolated=isolated
+    )
+
+
+def _kill_pool(pool: concurrent.futures.ProcessPoolExecutor) -> None:
+    """Tear down a pool that may hold a hung or dead worker.
+
+    ``shutdown`` alone would wait on the hung process forever, so the
+    worker processes are killed first; the shutdown that follows then
+    only reaps the manager thread (and keeps interpreter exit quiet).
+    """
+    for proc in list(getattr(pool, "_processes", {}).values()):
+        try:
+            proc.kill()
+        except Exception:  # noqa: BLE001 - already-dead processes are fine
+            pass
+    pool.shutdown(wait=True, cancel_futures=True)
 
 
 class WarmSlot:
@@ -70,6 +95,21 @@ class WarmSlot:
         _kill_pool(self._pool)
         self._pool = concurrent.futures.ProcessPoolExecutor(max_workers=1)
 
+    def recover(
+        self, spec: "CellSpec", attempt: int, timeout_s: "float | None" = None
+    ) -> "PimError":
+        """Respawn after a crash (``timeout_s`` unset) or a run past
+        ``timeout_s``, and return the coded error naming the cell."""
+        self.respawn()
+        context = dict(benchmark=spec.benchmark_key,
+                       device=spec.device_type.value, attempt=attempt)
+        if timeout_s is None:
+            return PimWorkerCrashError(
+                "worker process died without raising", **context
+            )
+        return PimTimeoutError(f"cell exceeded its {timeout_s}s timeout",
+                               timeout_s=timeout_s, **context)
+
     def shutdown(self) -> None:
         """Kill the worker and retire the slot permanently."""
         if self._pool is not None:
@@ -85,9 +125,10 @@ class WarmExecutor:
     """A fixed fleet of :class:`WarmSlot` workers with checkout semantics.
 
     Callers :meth:`acquire` a slot (blocking until one is free), submit
-    work on it, and :meth:`release` it back -- or :meth:`respawn` it
-    first if the worker hung or died.  The checkout discipline is what
-    makes hang attribution exact: a slot serves one cell at a time.
+    work on it, and :meth:`release` it back -- after
+    :meth:`WarmSlot.recover` if the worker hung or died.  The checkout
+    discipline is what makes hang attribution exact: a slot serves one
+    cell at a time.
     """
 
     def __init__(self, workers: int = 1) -> None:

@@ -61,12 +61,13 @@ class CellTelemetry:
 
     ``wall_s``/``cpu_s`` time the simulation itself (excluding engine
     scheduling); ``peak_rss_kb`` is the executing process's high-water
-    mark *after* the cell ran -- in an isolated worker that is the
-    cell's own footprint, in a serial run it is the parent's cumulative
-    peak.  ``memo_*`` mirror the cost pipeline's counters
-    (:class:`repro.perf.memo.CostPipeline`); ``commands_simulated`` is
-    the op-census total (the machine-independent figure selfbench
-    reports).  ``attempt`` is the 1-based try that finally succeeded.
+    mark *after* the cell ran -- in a warm worker slot that is the
+    worker's peak over every cell the slot has run so far, in a serial
+    run it is the parent's cumulative peak.  ``memo_*`` mirror the cost
+    pipeline's counters (:class:`repro.perf.memo.CostPipeline`);
+    ``commands_simulated`` is the op-census total (the
+    machine-independent figure selfbench reports).  ``attempt`` is the
+    1-based try that finally succeeded.
     """
 
     benchmark: str

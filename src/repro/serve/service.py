@@ -38,7 +38,6 @@ import dataclasses
 import time
 import typing
 
-from repro.core.errors import PimTimeoutError, PimWorkerCrashError
 from repro.engine.cache import DiskCache, cell_cache_key
 from repro.engine.warm import WarmExecutor, WarmSlot
 from repro.obs.metrics import MetricsRegistry, global_registry
@@ -360,9 +359,9 @@ class EvaluationService:
     ) -> "CellOutcome":
         """One attempt on one warm slot, under the watchdog.
 
-        A watchdog timeout or a worker crash kills and respawns the
-        slot (one spawn, not a poisoned pool) and re-raises as the
-        taxonomy's coded error so the retry loop can classify it.
+        A watchdog timeout or a worker crash respawns the slot (one
+        spawn, not a poisoned pool) and raises the taxonomy's coded
+        error (:meth:`WarmSlot.recover`) for the retry loop to classify.
         """
         assert self._slots is not None, "EvaluationService.start() not called"
         slot = await self._slots.get()
@@ -376,25 +375,18 @@ class EvaluationService:
                 )
             except asyncio.TimeoutError:
                 _consume(wrapped)
-                await self._respawn(slot)
-                raise PimTimeoutError(
-                    f"cell exceeded the {timeout:g}s serve watchdog",
-                    timeout_s=timeout,
-                    attempt=attempt,
+                self._count("worker_respawns")
+                raise await asyncio.to_thread(
+                    slot.recover, spec, attempt, timeout
                 ) from None
             except concurrent.futures.process.BrokenProcessPool as exc:
-                await self._respawn(slot)
-                raise PimWorkerCrashError(
-                    "worker process died while evaluating the cell",
-                    attempt=attempt,
+                self._count("worker_respawns")
+                raise await asyncio.to_thread(
+                    slot.recover, spec, attempt
                 ) from exc
         finally:
             if slot.alive:
                 self._slots.put_nowait(slot)
-
-    async def _respawn(self, slot: WarmSlot) -> None:
-        self._count("worker_respawns")
-        await asyncio.to_thread(slot.respawn)
 
     # -- introspection ----------------------------------------------------
 

@@ -1,11 +1,11 @@
 """Ctrl-C must not leak worker processes out of ``run_cells``.
 
 Regression test for the supervisor's KeyboardInterrupt path: the
-isolated scheduling loop spawns one single-worker pool per running
-cell, and an interrupt that lands between spawns used to abandon those
-pools -- live children outliving the run.  The fix kills every
-still-checked-out pool on the way out of ``_run_isolated``, so a
-driver process that catches Ctrl-C ends with zero surviving workers.
+isolated scheduling loop runs cells on warm worker slots that live for
+the whole ``run_cells`` call, and an interrupt that lands mid-run must
+not abandon them.  ``_run_isolated`` shuts its ``WarmExecutor`` down in
+a ``finally`` -- killing and reaping every slot's worker -- so a driver
+process that catches Ctrl-C ends with zero surviving workers.
 
 The scenario needs a real interrupt against real worker processes, so
 it runs in a subprocess: hang two cells (WorkerHangFault), SIGINT the

@@ -6,6 +6,8 @@ small-scale, so even the process-isolated runs stay fast.
 """
 
 import dataclasses
+import json
+import multiprocessing.process
 
 import pytest
 
@@ -193,6 +195,70 @@ class TestIsolatedFailures:
             policy=RetryPolicy(cell_timeout_s=3.0),
         )
         assert execution.failures[hang].kind is FailureKind.TIMEOUT
+
+    def test_jobs_two_starts_two_workers_for_six_cells(self, monkeypatch):
+        # Warm slots: min(jobs, misses) workers run every cell; no
+        # per-cell process spawn.
+        started = _count_process_starts(monkeypatch)
+        specs = [cell(key) for key in SIX_KEYS]
+        execution = run_cells(specs, jobs=2, use_cache=False)
+        assert execution.ok
+        assert len(started) == 2
+
+    def test_crash_respawns_exactly_one_worker(self, monkeypatch):
+        started = _count_process_starts(monkeypatch)
+        crash = cell("vecadd", WorkerCrashFault(fail_attempts=1))
+        others = [cell(key) for key in SIX_KEYS[1:]]
+        execution = run_cells(
+            [crash] + others, jobs=2, use_cache=False,
+            policy=RetryPolicy(max_retries=1, **FAST),
+        )
+        assert execution.ok
+        assert execution.retries == 1
+        assert len(started) == 3
+        serial = run_cells(others, use_cache=False)
+        for spec in others:
+            assert _result_bytes(execution, spec) == _result_bytes(
+                serial, spec
+            )
+
+    def test_raising_cell_keeps_its_worker(self, monkeypatch):
+        # An exception inside the worker is not a dead slot: the retry
+        # and the remaining cells reuse the two original workers.
+        started = _count_process_starts(monkeypatch)
+        flaky = cell("vecadd", WorkerExceptionFault(fail_attempts=1))
+        others = [cell(key) for key in SIX_KEYS[1:]]
+        execution = run_cells(
+            [flaky] + others, jobs=2, use_cache=False,
+            policy=RetryPolicy(max_retries=1, **FAST),
+        )
+        assert execution.ok
+        assert execution.retries == 1
+        assert len(started) == 2
+
+
+#: Six cheap functional cells for the worker-count tests.
+SIX_KEYS = ("vecadd", "axpy", "gemv", "brightness", "filter", "histogram")
+
+
+def _count_process_starts(monkeypatch) -> list:
+    """Record every ``multiprocessing`` process start from here on."""
+    started = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def counting_start(proc, *args, **kwargs):
+        started.append(proc)
+        return start(proc, *args, **kwargs)
+
+    monkeypatch.setattr(
+        multiprocessing.process.BaseProcess, "start", counting_start
+    )
+    return started
+
+
+def _result_bytes(execution, spec) -> str:
+    result = execution.outcome(spec).result
+    return json.dumps(result.to_dict(), sort_keys=True)
 
 
 class TestObservedFailures:

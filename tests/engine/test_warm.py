@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import concurrent.futures.process
+import dataclasses
 import os
 import queue
+import time
 
 import pytest
 
 from repro.arch import resolve_backend
+from repro.core.errors import PimTimeoutError, PimWorkerCrashError
 from repro.engine import CellSpec, run_cells
 from repro.engine.warm import WarmExecutor, WarmSlot
+from repro.faults import FaultPlan, WorkerCrashFault, WorkerHangFault
 from repro.serve.protocol import canonical_json, result_payload
 
 
@@ -79,6 +84,53 @@ class TestWarmSlot:
             slot.submit(_spec())
         with pytest.raises(RuntimeError):
             slot.respawn()
+
+
+class TestRecover:
+    def test_crashed_slot_respawns_with_a_coded_error(self):
+        spec = _spec()
+        crash = dataclasses.replace(spec, fault_plan=FaultPlan(
+            seed=1, faults=(WorkerCrashFault(fail_attempts=1),)
+        ))
+        slot = WarmSlot(0)
+        try:
+            with pytest.raises(concurrent.futures.process.BrokenProcessPool):
+                slot.submit(crash).result(timeout=120)
+            error = slot.recover(crash, attempt=1)
+            assert isinstance(error, PimWorkerCrashError)
+            assert error.context == {
+                "benchmark": "vecadd", "device": spec.device_type.value,
+                "attempt": 1,
+            }
+            assert slot.respawns == 1
+            # The fresh worker serves the retry.
+            outcome = slot.submit(crash, attempt=2).result(timeout=120)
+            assert outcome.error is None
+        finally:
+            slot.shutdown()
+
+    def test_overdue_slot_is_killed_with_a_coded_error(self):
+        hang = dataclasses.replace(_spec(), fault_plan=FaultPlan(
+            seed=1, faults=(WorkerHangFault(seconds=60.0),)
+        ))
+        slot = WarmSlot(0)
+        try:
+            future = slot.submit(hang)
+            deadline = time.monotonic() + 60
+            while not slot._pool._processes and time.monotonic() < deadline:
+                time.sleep(0.01)
+            hung = list(slot._pool._processes)
+            assert hung, "the worker never started"
+            error = slot.recover(hang, attempt=2, timeout_s=0.5)
+            assert isinstance(error, PimTimeoutError)
+            assert error.context["timeout_s"] == 0.5
+            assert error.context["benchmark"] == "vecadd"
+            assert error.context["attempt"] == 2
+            assert future.done()
+            for pid in hung:
+                assert not _alive(pid)
+        finally:
+            slot.shutdown()
 
 
 class TestWarmExecutor:

@@ -311,6 +311,42 @@ class TestDegradation:
         asyncio.run(main())
 
 
+    @pytest.mark.parametrize("chaos,timeout_s,error_type", [
+        (ChaosPolicy(seed=1, crash_rate=1.0), 30.0, "PimWorkerCrashError"),
+        (ChaosPolicy(seed=1, hang_rate=1.0, hang_s=30.0), 0.5,
+         "PimTimeoutError"),
+    ])
+    def test_dead_worker_failure_names_the_cell(
+        self, tmp_path, chaos, timeout_s, error_type
+    ):
+        # A crashed or overdue flight reports which cell it was, exactly
+        # as a run_cells failure does.
+        async def main():
+            service = await _started(_config(
+                tmp_path,
+                policy=RetryPolicy(max_retries=0, cell_timeout_s=timeout_s),
+                chaos=chaos,
+            ))
+            try:
+                status, payload = await service.evaluate(_body(
+                    benchmark="vecadd", device="bank", ranks=32,
+                    no_cache=True,
+                ))
+                assert status == 500
+                assert payload["code"] == "ERR_CELL_FAILED"
+                failure = payload["failure"]
+                assert failure["error_type"] == error_type
+                assert failure["context"]["benchmark"] == "vecadd"
+                assert failure["context"]["device"] == (
+                    resolve_backend("bank").device_type.value
+                )
+                assert service.registry.value("serve.worker_respawns") == 1
+            finally:
+                await service.drain(grace_s=0.5)
+
+        asyncio.run(main())
+
+
 class TestDrain:
     def test_drain_refuses_new_work_and_rejects_stuck_flights(self, tmp_path):
         async def main():

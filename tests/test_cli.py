@@ -1,6 +1,9 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -252,6 +255,43 @@ class TestResilienceFlags:
         err = capsys.readouterr().err
         assert "cell(s) failed" in err
         assert "PimAllocationError" in err
+
+
+class TestJobsFlag:
+    """A bad worker count ends every --jobs command with one line."""
+
+    @pytest.mark.parametrize("command", [
+        ["suite"], ["run", "vecadd"], ["profile", "vecadd"],
+        ["figure", "12"], ["campaign"], ["selfbench"],
+        ["dse", "run", "--spec", "sweep.json"],
+    ])
+    def test_zero_jobs_is_a_clean_exit(self, command, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(command + ["--jobs", "0"])
+        assert str(exc_info.value) == "jobs must be >= 1, got 0"
+        assert capsys.readouterr().out == ""
+
+    def test_non_integer_env_is_a_clean_exit(self, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_JOBS", "abc")
+        with pytest.raises(SystemExit) as exc_info:
+            main(["suite"])
+        assert str(exc_info.value) == (
+            "REPRO_JOBS must be an integer, got 'abc'"
+        )
+        assert capsys.readouterr().out == ""
+
+    def test_exit_status_is_nonzero_without_traceback(self):
+        env = dict(os.environ, REPRO_JOBS="abc")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(os.path.dirname(__file__), "..", "src")]
+            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "suite"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode != 0
+        assert proc.stderr == "REPRO_JOBS must be an integer, got 'abc'\n"
 
 
 class TestCampaignCommand:
