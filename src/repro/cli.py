@@ -886,6 +886,8 @@ def cmd_cache_info(args: argparse.Namespace) -> int:
     print(f"Cache directory : {cache.root}")
     print(f"Entries         : {len(entries)}")
     print(f"Size            : {size / 1024:.1f} KiB")
+    plans, plan_bytes = cache.plan_stats()
+    print(f"Pricing plans   : {plans} ({plan_bytes / 1024:.1f} KiB)")
     if entries:
         ages = [now - mtime for _, _, mtime in entries]
         print(f"Oldest entry    : {_format_age(max(ages))} ago")

@@ -14,7 +14,12 @@ prices a whole geometry group at once:
    and stack the columns into ``(points x shapes)`` matrices;
 4. rebuild every accumulator for *all* points in one vectorized pass,
    then synthesize per-cell :class:`~repro.engine.cells.CellOutcome`\\ s
-   that pickle, disk-cache, and report exactly like per-cell outcomes.
+   that pickle and report exactly like per-cell outcomes.
+
+Only the plan is persisted.  A synthesized cell is derived data --
+``plan x cost_table`` -- so it never enters the per-cell disk cache:
+re-pricing a warm group costs less than hashing a key, writing a
+pickle and reading it back for every (point, benchmark).
 
 The float-summation contract is inherited unchanged from PR 7: each
 point's totals are reconstructed with ``np.add.accumulate`` over the
@@ -122,7 +127,6 @@ def batch_eligible(spec: "CellSpec") -> bool:
 class BatchReport:
     """What one :func:`price_cells_batched` call did."""
 
-    cache_hits: int = 0
     synthesized: int = 0
     plan_hits: int = 0
     plan_misses: int = 0
@@ -500,9 +504,10 @@ def _synthesize_outcome(
     against a fresh tracker's zero snapshot, the op census aggregated by
     category in first-occurrence order) and
     :func:`repro.engine.cells.run_cell` (sealed tracker, modeled
-    duration, telemetry), so downstream consumers -- DiskCache, reports,
-    the frontier -- cannot tell a synthesized outcome from a simulated
-    one.
+    duration, telemetry), so downstream consumers -- reports, the
+    frontier, the batch-check gate -- cannot tell a synthesized outcome
+    from a simulated one.  Synthesized outcomes are never written to the
+    per-cell disk cache; the plan they were priced from is.
     """
     if rss_kb is None:
         from repro.obs.telemetry import peak_rss_kb
@@ -608,49 +613,38 @@ def price_cells_batched(
     use_cache: bool = True,
     cache_dir: "str | os.PathLike | None" = None,
 ) -> "tuple[dict[CellSpec, CellOutcome], BatchReport]":
-    """Serve every eligible cell from the plan cache + matrix pricer.
+    """Price every eligible cell from the plan cache + matrix pricer.
 
     ``entries`` pairs each cell spec with its (derived) backend; the
     backends must be registry-resolvable while this runs (the sweep
-    calls inside its registration window).  Cells already in the
-    per-cell disk cache are served from it (telemetry re-flagged
-    ``from_cache=True`` exactly like the engine); the rest are grouped
-    by plan key, priced, written back to the per-cell cache under their
-    normal keys, and their telemetry merged into the global registry in
-    entry order -- the same accounting contract as ``run_cells``.
+    calls inside its registration window).  Cells are grouped by plan
+    key, each group's plan is loaded from (or compiled into) the plan
+    cache, every point is priced, and the telemetry is merged into the
+    global registry in entry order -- the same accounting contract as
+    ``run_cells``.
+
+    The plan cache is the only persistence: a cell's numbers are fully
+    determined by ``plan x cost_table``, so re-pricing a warm group is
+    cheaper than keying, writing and reading back one per-cell entry
+    per (point, benchmark).  ``use_cache=False`` bypasses the plan
+    cache too (every group compiles).
 
     A group whose compile or pricing fails is *deferred*, not failed:
     its cells are left out of the returned mapping and the sweep routes
     them through the per-cell engine, which owns failure semantics.
     """
-    from repro.engine.cache import DiskCache, cell_cache_key
+    from repro.engine.cache import DiskCache
     from repro.obs.metrics import global_registry
     from repro.obs.telemetry import merge_cell_telemetry
 
     cache: "DiskCache | None" = DiskCache(cache_dir) if use_cache else None
     report = BatchReport()
     outcomes: "dict[CellSpec, CellOutcome]" = {}
-    keys: "dict[CellSpec, str]" = {}
-
-    if cache is not None:
-        for spec, _backend in entries:
-            key = keys[spec] = cell_cache_key(spec)
-            cached = cache.get(key)
-            if cached is not None:
-                telemetry = getattr(cached, "telemetry", None)
-                if telemetry is not None:
-                    cached.telemetry = dataclasses.replace(
-                        telemetry, from_cache=True
-                    )
-                outcomes[spec] = cached
-                report.cache_hits += 1
 
     groups: "OrderedDict[str, list[tuple[CellSpec, ArchBackend, DeviceConfig]]]" = OrderedDict()
     known_keys: "dict[typing.Hashable, str]" = {}
     unkeyed = 0
     for spec, backend in entries:
-        if spec in outcomes:
-            continue
         # A cell whose config or plan key cannot even be computed (an
         # unknown benchmark, an invalid geometry) is deferred like a
         # failed compile: the per-cell engine owns failure semantics
@@ -704,20 +698,10 @@ def price_cells_batched(
             continue
         for (spec, _backend, _config), outcome in zip(group, priced):
             outcomes[spec] = outcome
-            report.synthesized += 1
-            if cache is not None and outcome.ok:
-                cache.put(keys.get(spec) or cell_cache_key(spec), outcome)
+        report.synthesized += len(priced)
 
     if batch_check_enabled():
-        report.checked = _check_sample(
-            [
-                (spec, backend)
-                for spec, backend in entries
-                if spec in outcomes
-                and not getattr(outcomes[spec].telemetry, "from_cache", False)
-            ],
-            outcomes,
-        )
+        report.checked = _check_sample(entries, outcomes)
 
     merge_cell_telemetry(
         registry,
@@ -726,6 +710,4 @@ def price_cells_batched(
          and (telemetry := getattr(outcomes[spec], "telemetry", None))
          is not None),
     )
-    if cache is not None:
-        cache.flush_usage()
     return outcomes, report

@@ -181,7 +181,7 @@ def format_sweep(result: SweepResult, verbose: bool = False) -> str:
         f"x {len(result.spec.benchmarks)} benchmark(s), "
         f"{len(result.frontier_ids)} on the Pareto frontier "
         f"({result.cache_hits} cached, {result.cache_misses} simulated, "
-        f"jobs={result.jobs})",
+        f"{result.batched_cells} batch-priced, jobs={result.jobs})",
         "",
         "Pareto frontier (minimize latency, energy, area):",
         f"  {'point':<28} {'base':<10} {'latency_ns':>14} "

@@ -8,7 +8,9 @@ which registrations are new so the registry is restored afterwards --
 a sweep must leave the process exactly as it found it, including under
 ``repro serve``), builds one :class:`~repro.engine.cells.CellSpec` per
 (point, benchmark) with the vectorized pricer on by default, and hands
-the whole batch to :func:`repro.engine.run_cells` -- which supplies
+the cells to the batched matrix pricer (:mod:`repro.dse.batch`, which
+persists one pricing plan per geometry group) or, for cells it cannot
+price, to :func:`repro.engine.run_cells` -- which supplies per-cell
 caching (parametric cache keys are sound by construction: the knob
 digest rides in both the device-config material and the model-version
 stamp), process fan-out, retries, and deterministic merge order.
@@ -124,7 +126,8 @@ class SweepResult:
         default_factory=dict
     )
     #: Sweep wall-clock, pricing-plan cache accounting, and how many
-    #: cells the matrix pricer synthesized (0 on the per-cell path).
+    #: cells the matrix pricer priced (0 on the per-cell path; these
+    #: cells are in neither ``cache_hits`` nor ``cache_misses``).
     #: Deliberately absent from :func:`repro.dse.report.sweep_payload`:
     #: the frontier report stays byte-identical between the batched and
     #: per-cell paths.
@@ -199,11 +202,19 @@ def run_sweep(
     analytic vector cells are grouped by geometry signature and priced
     through the matrix pricer (:mod:`repro.dse.batch`) -- one benchmark
     compile per group instead of one per point, with bit-identical
-    totals by the PR 7 summation contract.  The per-cell engine path
-    still runs for anything ineligible (``vector=False``, functional,
-    fault plans), when ``REPRO_NO_BATCH`` is set, or when the strict
-    per-cell scalar cross-check (``REPRO_VECTOR_CHECK``) is armed --
-    the check only means something if each cell actually runs.
+    totals by the vector engine's summation contract.  Batched cells
+    persist only through the plan cache: a warm sweep loads every
+    group's plan and re-prices, and never reads or writes per-cell
+    entries.  The per-cell engine path (and its per-cell cache) still
+    runs for anything ineligible (``vector=False``, functional, fault
+    plans), for groups the pricer deferred, when ``REPRO_NO_BATCH`` is
+    set, or when the strict per-cell scalar cross-check
+    (``REPRO_VECTOR_CHECK``) is armed -- the check only means something
+    if each cell actually runs.
+
+    Accounting: ``cache_hits``/``cache_misses`` count per-cell-engine
+    cells only; ``batched_cells`` counts the cells the matrix pricer
+    priced.
     """
     wall0 = time.perf_counter()
     points = spec.compile_points()
@@ -228,7 +239,7 @@ def run_sweep(
                 cell_specs.append(cell)
                 index[cell] = (point, benchmark)
         batch_outcomes: "dict[CellSpec, typing.Any]" = {}
-        plan_hits = plan_misses = batch_hits = synthesized = 0
+        plan_hits = plan_misses = synthesized = 0
         batch_on = (
             batched
             and vector
@@ -247,7 +258,6 @@ def run_sweep(
                 )
                 plan_hits = batch_report.plan_hits
                 plan_misses = batch_report.plan_misses
-                batch_hits = batch_report.cache_hits
                 synthesized = batch_report.synthesized
         remaining = [c for c in cell_specs if c not in batch_outcomes]
         execution = (
@@ -319,8 +329,8 @@ def run_sweep(
         spec=spec,
         outcomes=outcomes,
         frontier_ids=tuple(p.key for p in frontier),
-        cache_hits=batch_hits + (execution.hits if execution else 0),
-        cache_misses=synthesized + (execution.misses if execution else 0),
+        cache_hits=execution.hits if execution else 0,
+        cache_misses=execution.misses if execution else 0,
         jobs=execution.jobs if execution else resolve_jobs(jobs),
         sample_results=sample_results,
         wall_s=time.perf_counter() - wall0,

@@ -396,12 +396,21 @@ class DiskCache:
                     pass
         return removed
 
-    def stats(self) -> "tuple[int, int]":
-        """(entry count, total bytes) currently stored."""
+    @staticmethod
+    def _tally(root: pathlib.Path) -> "tuple[int, int]":
+        """(entry count, total bytes) of the pickles under ``root``."""
         count = size = 0
-        if not self.cells_dir.exists():
+        if not root.exists():
             return count, size
-        for path in self.cells_dir.rglob("*.pkl"):
+        for path in root.rglob("*.pkl"):
             count += 1
             size += path.stat().st_size
         return count, size
+
+    def stats(self) -> "tuple[int, int]":
+        """(entry count, total bytes) of the cell entries currently stored."""
+        return self._tally(self.cells_dir)
+
+    def plan_stats(self) -> "tuple[int, int]":
+        """(plan count, total bytes) of the pricing plans currently stored."""
+        return self._tally(self.plans_dir)

@@ -154,28 +154,58 @@ class TestFallback:
 
 
 class TestCaching:
-    def test_warm_run_serves_batched_entries_from_disk(self, tmp_path):
-        spec = _spec()
+    """The plan cache is a batched cell's only persistence."""
+
+    _TWO_GROUPS = {
+        "banks_per_rank": [32, 64],
+        "pe_freq_mhz": [200, 300],
+    }
+
+    def test_warm_run_loads_every_plan_and_reprices(self, tmp_path):
+        spec = _spec(axes=self._TWO_GROUPS)
         cold = _run(spec, use_cache=True, cache_dir=tmp_path)
         warm = _run(spec, use_cache=True, cache_dir=tmp_path)
-        assert cold.batched_cells == 3 and cold.cache_hits == 0
-        assert warm.cache_hits == 3 and warm.batched_cells == 0
+        assert cold.plan_misses == 2 and cold.plan_hits == 0
+        assert warm.plan_misses == 0 and warm.plan_hits == 2
+        assert cold.batched_cells == warm.batched_cells == 4
+        # Batched cells are neither per-cell cache hits nor misses.
+        assert warm.cache_hits == 0 and warm.cache_misses == 0
         assert render_json(sweep_payload(cold)) == render_json(
             sweep_payload(warm)
         )
 
-    def test_per_cell_path_reads_batched_cache_entries(
+    def test_batched_sweep_writes_no_cell_entries(self, tmp_path):
+        from repro.engine.cache import DiskCache
+
+        spec = _spec(axes=self._TWO_GROUPS)
+        _run(spec, use_cache=True, cache_dir=tmp_path)
+        cache = DiskCache(tmp_path)
+        assert cache.entries() == []
+        assert cache.plan_stats()[0] == 2
+
+    def test_no_cache_bypasses_the_plan_cache(self, tmp_path):
+        from repro.engine.cache import DiskCache
+
+        spec = _spec()
+        first = _run(spec, use_cache=False, cache_dir=tmp_path)
+        second = _run(spec, use_cache=False, cache_dir=tmp_path)
+        assert first.plan_misses == second.plan_misses == 1
+        assert DiskCache(tmp_path).plan_stats() == (0, 0)
+
+    def test_per_cell_run_after_batched_cold_run_is_byte_identical(
         self, tmp_path, monkeypatch
     ):
-        """Synthesized outcomes are cached under the normal cell keys."""
+        """The per-cell engine simulates every cell (none was written)
+        and still reproduces the batched report byte for byte."""
         spec = _spec()
         cold = _run(spec, use_cache=True, cache_dir=tmp_path)
         monkeypatch.setenv(NO_BATCH_ENV, "1")
-        warm = _run(spec, use_cache=True, cache_dir=tmp_path)
+        per_cell = _run(spec, use_cache=True, cache_dir=tmp_path)
         assert cold.batched_cells == 3
-        assert warm.cache_hits == 3 and warm.cache_misses == 0
+        assert per_cell.batched_cells == 0
+        assert per_cell.cache_hits == 0 and per_cell.cache_misses == 3
         assert render_json(sweep_payload(cold)) == render_json(
-            sweep_payload(warm)
+            sweep_payload(per_cell)
         )
 
 

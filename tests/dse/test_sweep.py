@@ -134,6 +134,7 @@ def _failed_result(swept: SweepResult) -> SweepResult:
         cache_misses=swept.cache_misses,
         jobs=swept.jobs,
         sample_results=swept.sample_results,
+        batched_cells=swept.batched_cells,
     )
 
 
@@ -165,6 +166,18 @@ class TestReport:
         text = format_sweep(_failed_result(swept))
         assert "Failed points (1):" in text
         assert "synthetic failure" in text
+
+    def test_format_sweep_header_counts_each_path(self, swept, tmp_path):
+        """Batch-priced cells are neither cached nor simulated."""
+        assert "(0 cached, 0 simulated, 2 batch-priced, jobs=1)" in (
+            format_sweep(swept)
+        )
+        spec = _spec()
+        run_sweep(spec, jobs=1, cache_dir=tmp_path, batched=False)
+        warm = run_sweep(spec, jobs=1, cache_dir=tmp_path, batched=False)
+        assert "(2 cached, 0 simulated, 0 batch-priced, jobs=1)" in (
+            format_sweep(warm)
+        )
 
     def test_benchmark_winners(self, swept):
         winners = benchmark_winners(swept)
@@ -208,9 +221,11 @@ class TestReport:
 
 class TestCaching:
     def test_second_run_is_all_hits(self, tmp_path):
+        """Per-cell caching of parametric cells (the batched path keeps
+        no cell entries; tests/dse/test_batch.py covers its plan cache)."""
         spec = _spec()
-        cold = run_sweep(spec, jobs=1, cache_dir=tmp_path)
-        warm = run_sweep(spec, jobs=1, cache_dir=tmp_path)
+        cold = run_sweep(spec, jobs=1, cache_dir=tmp_path, batched=False)
+        warm = run_sweep(spec, jobs=1, cache_dir=tmp_path, batched=False)
         assert cold.cache_misses == 2 and cold.cache_hits == 0
         assert warm.cache_hits == 2 and warm.cache_misses == 0
         for a, b in zip(cold.outcomes, warm.outcomes):

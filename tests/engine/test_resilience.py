@@ -76,7 +76,7 @@ class TestSerialFailures:
         bad = cell("vecadd", WorkerExceptionFault(fail_attempts=99))
         never = cell("axpy")
         execution = run_cells(
-            [bad, never], use_cache=False,
+            [bad, never], jobs=1, use_cache=False,
             policy=RetryPolicy(fail_fast=True),
         )
         assert execution.failures[bad].kind is FailureKind.ERROR
@@ -90,7 +90,7 @@ class TestSerialFailures:
         healable = cell("vecadd", WorkerExceptionFault(fail_attempts=1))
         never = cell("axpy")
         execution = run_cells(
-            [healable, never], use_cache=False,
+            [healable, never], jobs=1, use_cache=False,
             policy=RetryPolicy(max_retries=0, fail_fast=True),
         )
         assert not execution.ok
@@ -103,7 +103,7 @@ class TestSerialFailures:
     def test_crash_fault_refuses_to_kill_the_parent(self):
         # In-process execution must never hard-exit the test runner.
         bad = cell("vecadd", WorkerCrashFault(fail_attempts=99))
-        execution = run_cells([bad], use_cache=False)
+        execution = run_cells([bad], jobs=1, use_cache=False)
         assert execution.failures[bad].error_type == "PimFaultInjectionError"
 
     def test_strict_callers_get_an_exception(self):

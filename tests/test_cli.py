@@ -323,6 +323,7 @@ class TestCacheSubcommand:
         out = capsys.readouterr().out
         assert str(tmp_path) in out
         assert "Entries         : 0" in out
+        assert "Pricing plans   : 0 (0.0 KiB)" in out
 
     def test_clear_removes_entries(self, capsys, tmp_path):
         assert main(["run", "vecadd", "--cache-dir", str(tmp_path)]) == 0
@@ -525,6 +526,25 @@ class TestDseSubcommand:
         assert main(["dse", "run", "--spec", self._spec_file(tmp_path),
                      "--no-cache", "--jobs", "1", "--vector-check"]) == 0
         assert "Vector check passed" in capsys.readouterr().out
+
+    def test_warm_run_is_batch_priced_from_plans(self, capsys, tmp_path):
+        """A warm sweep compiles nothing and leaves no cell entries;
+        ``cache info`` counts the plans it persisted instead."""
+        cache_dir = str(tmp_path / "cache")
+        run = ["dse", "run", "--spec", self._spec_file(tmp_path),
+               "--cache-dir", cache_dir, "--jobs", "1"]
+        assert main(run + ["--report", str(tmp_path / "cold.json")]) == 0
+        capsys.readouterr()
+        assert main(run + ["--report", str(tmp_path / "warm.json")]) == 0
+        out = capsys.readouterr().out
+        assert "(0 cached, 0 simulated, 2 batch-priced, jobs=1)" in out
+        assert "2 hit(s), 0 compile(s)" in out
+        assert ((tmp_path / "cold.json").read_bytes()
+                == (tmp_path / "warm.json").read_bytes())
+        assert main(["cache", "info", "--cache-dir", cache_dir]) == 0
+        out = capsys.readouterr().out
+        assert "Entries         : 0" in out
+        assert "Pricing plans   : 2 (" in out
 
     def test_frontier_reads_saved_report(self, capsys, tmp_path):
         report = tmp_path / "frontier.json"
